@@ -14,6 +14,17 @@ from collections.abc import Iterable, Iterator
 from .gates import GATE_ARITY, MEASURE_GATES, NOISE_GATES, Operation
 
 
+def check_measurement_refs(op: Operation, measured: int) -> None:
+    """Raise ``ValueError`` unless every target of ``op`` (a DETECTOR or
+    OBSERVABLE_INCLUDE) indexes one of the ``measured`` records so far."""
+    for idx in op.targets:
+        if not 0 <= idx < measured:
+            raise ValueError(
+                f"{op.gate} references measurement {idx}, "
+                f"only {measured} recorded so far"
+            )
+
+
 class Circuit:
     """A mutable sequence of operations forming one experiment."""
 
@@ -130,12 +141,7 @@ class Circuit:
             if op.gate in MEASURE_GATES:
                 measured += len(op.target_groups())
             elif op.gate in ("DETECTOR", "OBSERVABLE_INCLUDE"):
-                for idx in op.targets:
-                    if not 0 <= idx < measured:
-                        raise ValueError(
-                            f"{op.gate} references measurement {idx}, "
-                            f"only {measured} recorded so far"
-                        )
+                check_measurement_refs(op, measured)
 
     def __str__(self) -> str:
         return "\n".join(str(op) for op in self.operations)

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..circuits.schedule import Schedule
 from ..codes.css import CSSCode
-from ..sim.dem import DetectorErrorModel, ErrorMechanism
+from ..sim.dem import DetectorErrorModel
 
 # Primitive edits: ("reorder", kind, stab, move, before)
 #                  ("swap", qubit, (kind1, s1), (kind2, s2))
@@ -76,12 +76,12 @@ def _ancilla_error_kinds(code: CSSCode, source, kind: str) -> bool:
 
 
 def _stabs_flipped_by(
-    mechanism: ErrorMechanism, dem: DetectorErrorModel
+    detectors: np.ndarray, detector_labels: list[tuple]
 ) -> set[tuple[str, int]]:
     """Distinct (kind, stab) syndrome qubits among the flipped detectors."""
     stabs: set[tuple[str, int]] = set()
-    for d in mechanism.detectors:
-        label = dem.detector_labels[d]
+    for d in detectors.tolist():
+        label = detector_labels[d]
         stabs.add((label[1], label[2]))
     return stabs
 
@@ -103,9 +103,9 @@ def enumerate_candidates(
             seen.add(sig)
             candidates.append(change)
 
+    arrays = dem.arrays
     for err in logical_error:
-        mechanism = dem.mechanisms[err]
-        for source in mechanism.sources:
+        for source in dem.sources(err):
             if not source.label or source.label[0] != "cnot":
                 continue
             _, kind, stab, q_i, _round = source.label
@@ -129,7 +129,7 @@ def enumerate_candidates(
 
             # Rescheduling changes (§5.3.2).
             s_j = (kind, stab)
-            for s_i in _stabs_flipped_by(mechanism, dem):
+            for s_i in _stabs_flipped_by(arrays.detectors(err), dem.detector_labels):
                 if s_i == s_j:
                     continue
                 support_i = set(

@@ -46,33 +46,32 @@ def _transport_logical_error(
     old_dem: DetectorErrorModel,
     new_dem: DetectorErrorModel,
     logical_error: list[int],
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray]:
     """Re-evaluate the old logical error's faults in the new circuit.
 
     Faults are identified by (gate label, pauli) — the gate set is
-    unchanged by schedule rewrites, only its order.  Returns the XOR of
-    the transported mechanisms' (detector, observable) signatures, or
-    ``None`` if a fault can no longer be located (it became invisible).
+    unchanged by schedule rewrites, only its order.  Each old mechanism is
+    represented by the new mechanism of its first fault that can still be
+    located; one whose faults all became invisible contributes nothing.
+    Always returns the XOR of the representatives' (detector, observable)
+    signatures — never ``None``.
     """
-    index: dict[tuple, int] = {}
-    for j, mech in enumerate(new_dem.mechanisms):
-        for src in mech.sources:
-            index[(src.label, src.pauli)] = j
-
+    old, new = old_dem.arrays, new_dem.arrays
     det_sig = np.zeros(new_dem.num_detectors, dtype=np.uint8)
     obs_sig = np.zeros(new_dem.num_observables, dtype=np.uint8)
     for err in logical_error:
-        for src in old_dem.mechanisms[err].sources:
-            j = index.get((src.label, src.pauli))
+        for s in range(int(old.source_indptr[err]), int(old.source_indptr[err + 1])):
+            j = new.find_source(
+                old.labels[old.source_label[s]],
+                old.source_pauli[s],
+                old.source_qubits[s],
+            )
             if j is None:
                 # The fault no longer flips anything: it dropped out of the
                 # DEM entirely, which certainly breaks the logical error.
                 continue
-            mech = new_dem.mechanisms[j]
-            for d in mech.detectors:
-                det_sig[d] ^= 1
-            for o in mech.observables:
-                obs_sig[o] ^= 1
+            np.bitwise_xor.at(det_sig, new.detectors(j), 1)
+            np.bitwise_xor.at(obs_sig, new.observables(j), 1)
             # Take one representative fault per old mechanism.  Sources
             # merged in the old circuit can in principle diverge after the
             # rewrite; using the first is the conservative reading of
@@ -122,8 +121,7 @@ def check_candidate(
     h_new, l_new = new_graph.submatrices(sorted(det_set), errors)
     removes = not is_ambiguous(h_new, l_new)
 
-    transported = _transport_logical_error(old_dem, new_dem, logical_error)
-    det_sig, obs_sig = transported
+    det_sig, obs_sig = _transport_logical_error(old_dem, new_dem, logical_error)
     breaks = bool(det_sig.any()) or not bool(obs_sig.any())
 
     return PruneOutcome(candidate, new_schedule, True, removes, breaks)

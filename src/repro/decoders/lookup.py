@@ -33,13 +33,13 @@ class LookupDecoder(Decoder):
                 "pass max_weight to bound the enumeration"
             )
         self.table: dict[bytes, tuple[float, bytes]] = {}
-        probs = dem.probabilities()
+        arrays = dem.arrays
+        probs = arrays.probs
         num_d, num_o = dem.num_detectors, dem.num_observables
         det_cols = np.zeros((dem.num_errors, num_d), dtype=np.uint8)
         obs_cols = np.zeros((dem.num_errors, num_o), dtype=np.uint8)
-        for j, m in enumerate(dem.mechanisms):
-            det_cols[j, list(m.detectors)] = 1
-            obs_cols[j, list(m.observables)] = 1
+        det_cols[arrays.detector_coo] = 1
+        obs_cols[arrays.observable_coo] = 1
 
         base = float(np.prod(1 - probs))
         indices = range(dem.num_errors)

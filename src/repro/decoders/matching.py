@@ -165,13 +165,15 @@ class MatchingDecoder(Decoder):
         """Project mechanisms onto the subset and build the weighted graph."""
         nlocal = len(self.subset)
         boundary = nlocal  # extra node index
+        arrays = self.dem.arrays
+        dets, dptr = arrays.det_indices.tolist(), arrays.det_indptr.tolist()
+        obs, optr = arrays.obs_indices.tolist(), arrays.obs_indptr.tolist()
+        index = self.local_index
         # Keep the best (lowest-weight) edge between each node pair.
         best: dict[tuple[int, int], tuple[float, int]] = {}
-        for mech in self.dem.mechanisms:
-            local = sorted(
-                self.local_index[d] for d in mech.detectors if d in self.local_index
-            )
-            flips_obs = int(self.observable in mech.observables)
+        for j, prob in enumerate(arrays.probs.tolist()):
+            local = sorted(index[d] for d in dets[dptr[j] : dptr[j + 1]] if d in index)
+            flips_obs = int(self.observable in obs[optr[j] : optr[j + 1]])
             if not local:
                 continue
             if len(local) == 1:
@@ -183,7 +185,7 @@ class MatchingDecoder(Decoder):
                     f"mechanism flips {len(local)} same-type detectors; "
                     "DEM is not graph-like — use BpOsdDecoder instead"
                 )
-            p = min(max(mech.prob, 1e-15), 0.5 - 1e-12)
+            p = min(max(prob, 1e-15), 0.5 - 1e-12)
             weight = math.log((1 - p) / p)
             key = (u, v)
             if key not in best or weight < best[key][0]:

@@ -522,10 +522,29 @@ _ACTIVE: NumpyBackend = NumpyBackend()
 _NATIVE_RESULT: CNativeBackend | None | bool = False  # False = not tried yet
 
 
+def _single_thread_after_fork(lib: ctypes.CDLL) -> None:
+    """Make forked children run the OpenMP kernels on one thread.
+
+    GNU libgomp keeps its thread pool across ``fork()`` although the
+    threads do not survive it, so a child's first parallel region waits
+    on them forever: every fork-based worker pool deadlocked once the
+    parent had run a kernel (the load-time self-test already does).  One
+    thread per child sidesteps the stale pool, and sibling workers
+    already occupy the other cores.
+    """
+    set_threads = getattr(lib, "omp_set_num_threads", None)
+    if set_threads is not None and hasattr(os, "register_at_fork"):
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        os.register_at_fork(after_in_child=lambda: set_threads(1))
+
+
 def _native_backend() -> CNativeBackend | None:
     global _NATIVE_RESULT
     if _NATIVE_RESULT is False:
         lib = _compile_native()
+        if lib is not None:
+            _single_thread_after_fork(lib)
         backend = CNativeBackend(lib) if lib is not None else None
         if backend is not None and not _self_test(backend):
             backend = None

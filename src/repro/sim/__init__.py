@@ -9,7 +9,13 @@ from .bitbatch import (
     unique_shot_words,
     unpack_shots,
 )
-from .dem import DetectorErrorModel, ErrorMechanism, ErrorSource, extract_dem
+from .dem import (
+    DemArrays,
+    DetectorErrorModel,
+    ErrorMechanism,
+    ErrorSource,
+    extract_dem,
+)
 from .frame import FrameSimulator
 from .sampler import DemSampler
 from .tableau import CircuitResult, TableauSimulator, verify_deterministic_detectors
@@ -17,6 +23,7 @@ from .tableau import CircuitResult, TableauSimulator, verify_deterministic_detec
 __all__ = [
     "FrameSimulator",
     "DetectorErrorModel",
+    "DemArrays",
     "ErrorMechanism",
     "ErrorSource",
     "extract_dem",

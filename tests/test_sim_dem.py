@@ -3,10 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.circuits import Circuit, build_memory_experiment, nz_schedule, poor_schedule
+from repro.circuits import (
+    Circuit,
+    build_memory_experiment,
+    circuit_from_text,
+    nz_schedule,
+    poor_schedule,
+)
 from repro.codes import rotated_surface_code
 from repro.noise import NoiseModel
-from repro.sim import DemSampler, extract_dem
+from repro.sim import (
+    DemSampler,
+    DetectorErrorModel,
+    ErrorMechanism,
+    ErrorSource,
+    extract_dem,
+)
 
 
 def single_error_circuit(pauli_gate_sequence):
@@ -197,3 +209,96 @@ class TestSampler:
         h, l_mat = dem.check_matrices()
         det = np.asarray(fires.dot(h.T.tocsr()).todense()) % 2
         assert np.array_equal(det.astype(np.uint8), batch.detectors)
+
+
+class TestMeasurementReferences:
+    """Detector/observable references must name a recorded measurement."""
+
+    def test_negative_reference_raises(self):
+        circ = circuit_from_text("R 0 1\nDEPOLARIZE1(0.3) 0\nM 0 1\nDETECTOR -1\n")
+        with pytest.raises(
+            ValueError, match="DETECTOR references measurement -1, only 2 recorded"
+        ):
+            extract_dem(circ)
+
+    def test_forward_reference_raises(self):
+        circ = circuit_from_text("R 0\nDEPOLARIZE1(0.3) 0\nM 0\nDETECTOR 1\nM 0\n")
+        with pytest.raises(
+            ValueError, match="DETECTOR references measurement 1, only 1 recorded"
+        ):
+            extract_dem(circ)
+
+    def test_observable_reference_checked_too(self):
+        c = Circuit()
+        c.append("R", [0])
+        c.append("M", [0])
+        c.append("OBSERVABLE_INCLUDE", [-2], [0])
+        with pytest.raises(
+            ValueError, match="OBSERVABLE_INCLUDE references measurement -2"
+        ):
+            extract_dem(c)
+
+
+class TestColumnarModel:
+    """The array form, the object view built from it, and their contract."""
+
+    @pytest.fixture
+    def dem(self):
+        code = rotated_surface_code(3)
+        exp = build_memory_experiment(code, nz_schedule(code), rounds=2)
+        return extract_dem(NoiseModel(p=1e-3).apply(exp.circuit))
+
+    def test_object_view_is_built_once_and_then_authoritative(self, dem):
+        before = dem.fingerprint()
+        mechanisms = dem.mechanisms
+        assert dem.mechanisms is mechanisms
+        mechanisms[0].prob = 0.25
+        assert dem.probabilities()[0] == 0.25
+        assert dem.fingerprint() != before
+        mechanisms[0].detectors = ()
+        h, _ = dem.check_matrices()
+        assert h[:, 0].nnz == 0
+
+    def test_hand_built_model_matches_extracted(self, dem):
+        rebuilt = DetectorErrorModel(
+            mechanisms=dem.arrays.to_mechanisms(),
+            num_detectors=dem.num_detectors,
+            num_observables=dem.num_observables,
+            detector_labels=dem.detector_labels,
+        )
+        assert rebuilt == dem
+        assert rebuilt.fingerprint() == dem.fingerprint()
+        assert rebuilt.sources(3) == dem.sources(3)
+
+    def test_find_source_prefers_the_last_mechanism(self):
+        c = Circuit()
+        c.append("R", [0])
+        c.append("DEPOLARIZE1", [0], args=[0.3], label=("dup",))
+        c.append("M", [0])
+        c.append("DETECTOR", [0])
+        c.append("DEPOLARIZE1", [0], args=[0.3], label=("dup",))
+        c.append("M", [0])
+        c.append("DETECTOR", [1])
+        arrays = extract_dem(c).arrays
+        x0 = 1 << 2  # "X0" in the columnar Pauli encoding
+        owners = [
+            j
+            for j in range(arrays.num_errors)
+            if any(s.pauli == "X0" for s in arrays.sources(j))
+        ]
+        assert len(owners) == 2
+        assert arrays.find_source(("dup",), x0, (0, -1)) == owners[-1]
+        assert arrays.find_source(("other",), x0, (0, -1)) is None
+        assert arrays.find_source(("dup",), x0, (7, -1)) is None
+
+    def test_unrepresentable_hand_built_source_is_rejected(self):
+        bad = ErrorMechanism(
+            prob=0.1,
+            detectors=(0,),
+            observables=(),
+            sources=(ErrorSource(label=(), pauli="X0*Y1*Z2", qubits=(0, 1, 2)),),
+        )
+        dem = DetectorErrorModel([bad], num_detectors=1, num_observables=0)
+        with pytest.raises(ValueError, match="one- or two-qubit Pauli"):
+            dem.arrays
+
