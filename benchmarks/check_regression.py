@@ -16,9 +16,11 @@ The baseline stores per-benchmark min times from a reference machine, so
 it must be refreshed from the same runner class CI uses (``--update``).
 For intentional perf changes, either refresh the baseline in the same PR
 or apply the ``bench-override`` label, which skips the gate for that PR
-(see .github/workflows/ci.yml).  Benchmarks present in only one of the
-two files are reported but never fail the gate, so adding or retiring
-benchmarks does not require lockstep baseline edits.
+(see .github/workflows/ci.yml).  A benchmark new in the run is
+reported but never fails the gate, so adding one needs no baseline
+edit.  A baseline entry missing from the run *does* fail it — a rename
+or deletion must not silently drop a benchmark out of the gate; retire
+it deliberately by refreshing the baseline with ``--update``.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ def load_min_times(path: Path) -> dict[str, float]:
 def compare(
     current: dict[str, float], baseline: dict[str, float], max_regression: float
 ) -> list[str]:
-    """Regression messages for every shared benchmark over the limit."""
+    """Failure messages: shared benchmarks over the limit, and baseline
+    entries the run no longer produces."""
     failures = []
     for name in sorted(set(current) & set(baseline)):
         base = baseline[name]
@@ -86,6 +89,10 @@ def compare(
         print(f"  [new] {name}: {current[name] * 1e3:.2f} ms (not in baseline)")
     for name in sorted(set(baseline) - set(current)):
         print(f"  [missing] {name}: in baseline but not in this run")
+        failures.append(
+            f"{name} is in the baseline but missing from this run "
+            "(retire it via --update)"
+        )
     return failures
 
 

@@ -4,7 +4,8 @@ Companion to ``test_bench_sampler.py``: where that file benchmarks the
 sampling kernel, this one benchmarks the full sample→decode→count loop
 (:func:`repro.experiments.shotrunner.run_shot_chunks`) with the packed
 unique-syndrome-batching decode path against the pinned dense reference
-(``dense_reference=True``, i.e. unpack + per-shot ``decode_batch``).
+(:meth:`~repro.decoders.base.Decoder.count_failures_dense`, i.e. unpack +
+per-shot ``decode_batch``, injected through ``ExecutionConfig.dec``).
 Both paths are the same estimator — identical failure counts — so the
 comparison is pure decode-representation cost.
 
@@ -20,8 +21,8 @@ import pytest
 
 from repro.circuits import coloration_schedule, nz_schedule
 from repro.codes import load_benchmark_code
-from repro.decoders.metrics import dem_for
-from repro.experiments.shotrunner import run_shot_chunks
+from repro.decoders.metrics import dem_for, make_decoder
+from repro.experiments.shotrunner import ExecutionConfig, run_shot_chunks
 from repro.noise import NoiseModel
 
 SURFACE_SHOTS = 100_000
@@ -49,14 +50,27 @@ def lp39_dem():
     return _dem("lp39", 5e-4, rounds=2)
 
 
-def _ler_loop(dem, shots, dense_reference):
+class _DenseReference:
+    """Routes a real decoder's failure count through the pinned dense
+    reference path, via the runner's decoder-injection seam."""
+
+    def __init__(self, dec):
+        self.dec = dec
+
+    def count_failures_packed(self, batch):
+        return self.dec.count_failures_dense(batch)
+
+
+def _ler_loop(dem, shots, dense):
+    dec = make_decoder(dem, "z", "auto")
     return run_shot_chunks(
         dem,
         shots,
         basis="z",
         rng=np.random.default_rng(0),
-        chunk_size=20_000,
-        dense_reference=dense_reference,
+        config=ExecutionConfig(
+            chunk_shots=20_000, dec=_DenseReference(dec) if dense else dec
+        ),
     )
 
 

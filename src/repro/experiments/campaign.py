@@ -61,7 +61,7 @@ from ..noise.spec import NoiseSpec, noise_display, resolve_noise
 from ..sim.dem import DetectorErrorModel
 from ..sim.sampler import DemSampler
 from .store import ResultStore, canonical_json, job_key
-from .shotrunner import ExecutionConfig, resolve_execution, run_shot_chunks
+from .shotrunner import ExecutionConfig, run_shot_chunks
 
 _JOBS_EXECUTED = obs.counter("campaign.executed")
 _JOBS_HIT = obs.counter("campaign.hits")
@@ -470,7 +470,6 @@ def execute_job(
     job: CampaignJob,
     cache: CompileCache | None = None,
     config: ExecutionConfig | None = None,
-    **legacy,
 ) -> dict[str, Any]:
     """Run one job and return its JSON-safe, *deterministic* result payload.
 
@@ -483,11 +482,10 @@ def execute_job(
     (:func:`run_campaign`, the service workers), never the result.
 
     Execution knobs ride ``config`` (an
-    :class:`~repro.experiments.shotrunner.ExecutionConfig`; the old
-    ``workers``/``syndrome_cache_dir`` keywords still work with a
-    one-time deprecation warning).  The job's own hashed ``chunk_size``
-    and ``max_failures`` override whatever the config carries — those
-    two affect results, so the content address owns them.
+    :class:`~repro.experiments.shotrunner.ExecutionConfig`).  The job's
+    own hashed ``chunk_size`` and ``max_failures`` override whatever the
+    config carries — those two affect results, so the content address
+    owns them.
 
     ``config.syndrome_cache_dir`` enables the persistent
     syndrome→correction cache (:mod:`repro.decoders.syncache`): the
@@ -497,8 +495,8 @@ def execute_job(
     deliberately *not* part of the job key, and resumed campaigns stay
     byte-identical.
     """
-    cfg = resolve_execution("execute_job", config, legacy)
     cache = cache or CompileCache()
+    cfg = config or ExecutionConfig()
     cfg = cfg.replace(
         chunk_shots=job.chunk_size,
         max_failures=job.max_failures,

@@ -22,7 +22,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -62,15 +61,12 @@ class ChunkResult:
 class ExecutionConfig:
     """How a shot loop executes — everything that is *not* the physics.
 
-    One bundle for the keyword sprawl that used to ride every runner
-    signature (``workers``, ``chunk_size``, ``max_failures``,
-    ``streaming``, ``dense_reference``, sampler/decoder injection, the
-    syndrome cache), threaded uniformly through
-    :func:`run_shot_chunks`,
+    One bundle of worker fan-out, chunk size, early-stop cap,
+    sampler/decoder injection and the syndrome cache, threaded
+    uniformly through :func:`run_shot_chunks`,
     :func:`estimate_logical_error_rate_chunked`, and
-    :func:`repro.experiments.campaign.execute_job`.  The old keywords
-    keep working through a deprecation shim that warns once per entry
-    point.
+    :func:`repro.experiments.campaign.execute_job` — the only way to
+    pass any of them.
 
     Only ``chunk_shots`` and ``max_failures`` affect results (chunking
     feeds RNG substreams; the failure cap truncates consumption) —
@@ -82,8 +78,6 @@ class ExecutionConfig:
     workers: int = 1
     chunk_shots: int = 5_000
     max_failures: int | None = None
-    streaming: bool = True
-    dense_reference: bool = False
     sampler: DemSampler | None = None
     dec: Decoder | None = None
     syndrome_cache_dir: str | None = None
@@ -94,56 +88,6 @@ class ExecutionConfig:
 
     def replace(self, **changes) -> "ExecutionConfig":
         return dataclasses.replace(self, **changes)
-
-
-# Old keyword -> ExecutionConfig field, for the deprecation shim.
-_LEGACY_KEYWORDS = {
-    "workers": "workers",
-    "chunk_size": "chunk_shots",
-    "chunk_shots": "chunk_shots",
-    "max_failures": "max_failures",
-    "streaming": "streaming",
-    "dense_reference": "dense_reference",
-    "sampler": "sampler",
-    "dec": "dec",
-    "syndrome_cache_dir": "syndrome_cache_dir",
-    "syndrome_writer_tag": "syndrome_writer_tag",
-}
-
-_legacy_warned: set[str] = set()
-
-
-def resolve_execution(
-    entry_point: str,
-    config: ExecutionConfig | None,
-    legacy: dict[str, object],
-) -> ExecutionConfig:
-    """Merge legacy keyword arguments into an :class:`ExecutionConfig`.
-
-    Unknown keywords raise ``TypeError`` (they are typos, not legacy);
-    known ones override the config field they map to and emit one
-    ``DeprecationWarning`` per entry point per process.
-    """
-    config = config or ExecutionConfig()
-    if not legacy:
-        return config
-    unknown = set(legacy) - set(_LEGACY_KEYWORDS)
-    if unknown:
-        raise TypeError(
-            f"{entry_point}() got unexpected keyword arguments {sorted(unknown)}"
-        )
-    if entry_point not in _legacy_warned:
-        _legacy_warned.add(entry_point)
-        warnings.warn(
-            f"passing {sorted(legacy)} to {entry_point}() as keywords is "
-            "deprecated; bundle them in an ExecutionConfig "
-            "(repro.api.ExecutionConfig) and pass config=...",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return config.replace(
-        **{_LEGACY_KEYWORDS[k]: v for k, v in legacy.items()}
-    )
 
 
 def plan_chunks(shots: int, chunk_size: int) -> list[int]:
@@ -205,27 +149,44 @@ def spawn_chunk_seeds(
 # the runner stays re-entrant).
 _WORKER_SAMPLER: DemSampler | None = None
 _WORKER_DECODER: Decoder | None = None
-_WORKER_DENSE: bool = False
 
 
 def _init_worker(
     dem: DetectorErrorModel,
     basis: str,
     decoder: str,
-    dense_reference: bool,
-    syndrome_cache_dir: str | None = None,
+    syndrome_cache_dir: str | None,
+    syndrome_writer_tag: str | None,
 ) -> None:
-    global _WORKER_SAMPLER, _WORKER_DECODER, _WORKER_DENSE
+    global _WORKER_SAMPLER, _WORKER_DECODER
     _WORKER_SAMPLER = DemSampler(dem)
     _WORKER_DECODER = make_decoder(dem, basis, decoder)
-    _WORKER_DENSE = dense_reference
     if syndrome_cache_dir is not None:
-        # Each worker opens its own handle on the shared cache file;
-        # concurrent appends are tolerated by the format (partial-line
-        # skipping + deterministic duplicate values).
+        # Each worker opens its own handle on the parent's cache file
+        # (the writer's private shard when tagged); concurrent appends
+        # are tolerated by the format (partial-line skipping +
+        # deterministic duplicate values).
         _WORKER_DECODER.attach_syndrome_cache(
-            SyndromeCache.for_decoder(_WORKER_DECODER, syndrome_cache_dir)
+            SyndromeCache.for_decoder(
+                _WORKER_DECODER, syndrome_cache_dir, writer_tag=syndrome_writer_tag
+            )
         )
+
+
+def _fork_pool(workers: int, initializer, initargs: tuple) -> ProcessPoolExecutor:
+    """A process pool whose workers are set up by ``initializer``.
+
+    Prefers fork (cheap workers, DEM shared copy-on-write, like the
+    paper's multicore runs); falls back to the platform default where
+    fork is unavailable — correctness is unaffected, only startup cost.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork" if "fork" in methods else None),
+        initializer=initializer,
+        initargs=initargs,
+    )
 
 
 def _sample_chunk(
@@ -246,33 +207,20 @@ def _decode_chunk(
     dec: Decoder,
     job: tuple[int, int, np.random.SeedSequence],
     batch: BitSampleBatch,
-    dense_reference: bool,
 ) -> ChunkResult:
     index, chunk_shots, _ = job
     clock = obs.StopWatch()
     with obs.span("decode", chunk=index, shots=chunk_shots) as sp:
-        if dense_reference:
-            failures = dec.count_failures_dense(batch)
-        else:
-            failures = dec.count_failures_packed(batch)
+        failures = dec.count_failures_packed(batch)
         sp.set(failures=failures)
     _CHUNK_DECODE_S.record(clock.elapsed)
     return ChunkResult(index=index, shots=chunk_shots, failures=failures)
 
 
-def _run_chunk_with(
-    sampler: DemSampler,
-    dec: Decoder,
-    job: tuple[int, int, np.random.SeedSequence],
-    dense_reference: bool = False,
-) -> ChunkResult:
-    return _decode_chunk(dec, job, _sample_chunk(sampler, job), dense_reference)
-
-
 def _run_chunk(job: tuple[int, int, np.random.SeedSequence]) -> ChunkResult:
     if _WORKER_SAMPLER is None or _WORKER_DECODER is None:
         raise RuntimeError("worker pool not initialized")
-    return _run_chunk_with(_WORKER_SAMPLER, _WORKER_DECODER, job, _WORKER_DENSE)
+    return _decode_chunk(_WORKER_DECODER, job, _sample_chunk(_WORKER_SAMPLER, job))
 
 
 def run_shot_chunks(
@@ -283,14 +231,12 @@ def run_shot_chunks(
     rng: np.random.Generator | None = None,
     config: ExecutionConfig | None = None,
     on_chunk: Callable[[ChunkResult], None] | None = None,
-    **legacy,
 ) -> RateEstimate:
     """Sample/decode ``shots`` shots of one DEM in chunks.
 
     Execution knobs — worker fan-out, chunk size, early-stop cap,
-    streaming overlap, sampler/decoder injection, the persistent
-    syndrome cache — ride one :class:`ExecutionConfig` (the old
-    keywords still work, deprecation-warned once per process).
+    sampler/decoder injection, the persistent syndrome cache — ride one
+    :class:`ExecutionConfig`.
 
     ``on_chunk`` streams per-chunk results (in chunk order) to the
     caller as they are accumulated.  ``config.max_failures`` stops
@@ -305,12 +251,11 @@ def run_shot_chunks(
     inline path; with ``workers > 1`` each pool worker builds its own
     instead.
 
-    On the inline path, ``config.streaming`` (default) overlaps
-    sampling of chunk ``k+1`` (on a single prefetch thread) with
-    decoding of chunk ``k``.  Each chunk's sampling is a pure function
-    of its own spawned seed, so the overlap is bit-identical to the
-    sequential loop; a ``max_failures`` stop wastes at most one
-    presampled chunk.
+    The inline path overlaps sampling of chunk ``k+1`` (on a single
+    prefetch thread) with decoding of chunk ``k``.  Each chunk's
+    sampling is a pure function of its own spawned seed, so the overlap
+    is bit-identical to a sequential loop; a ``max_failures`` stop
+    wastes at most one presampled chunk.
 
     ``config.syndrome_cache_dir`` attaches a persistent
     :class:`~repro.decoders.syncache.SyndromeCache` (content-addressed
@@ -322,15 +267,14 @@ def run_shot_chunks(
     The hot path is fully packed: chunks are sampled packed and decoded
     through :meth:`~repro.decoders.base.Decoder.decode_batch_packed`
     (unique-syndrome batching), so no dense ``(shots, num_detectors)``
-    array is ever materialized.  ``config.dense_reference`` routes
-    decoding through the pinned dense path instead
-    (:meth:`~repro.decoders.base.Decoder.count_failures_dense`) — same
-    estimates by construction, kept for cross-checks and benchmarks.
+    array is ever materialized.  The pinned dense reference
+    (:meth:`~repro.decoders.base.Decoder.count_failures_dense`) is
+    reached by injecting a ``config.dec`` whose ``count_failures_packed``
+    delegates to it — that is how tests and benchmarks cross-check it.
     """
-    cfg = resolve_execution("run_shot_chunks", config, legacy)
+    cfg = config or ExecutionConfig()
     workers = cfg.workers
     max_failures = cfg.max_failures
-    dense_reference = cfg.dense_reference
     sampler, dec = cfg.sampler, cfg.dec
     syndrome_cache_dir = cfg.syndrome_cache_dir
     rng = rng or np.random.default_rng()
@@ -365,49 +309,36 @@ def run_shot_chunks(
                     dec, syndrome_cache_dir, writer_tag=cfg.syndrome_writer_tag
                 )
             )
-        if cfg.streaming and len(jobs) > 1:
-            # DemSampler is read-only after construction and each chunk
-            # samples from its own generator, so one prefetch thread can
-            # sample chunk k+1 while the main thread decodes chunk k.
-            # On early exit (max_failures tripped, or decode raised) the
-            # presampled chunk is discarded — shut down without waiting
-            # for it, or the caller would block on a full chunk sample
-            # nobody will read (tests/test_shotrunner.py pins this).
-            prefetch = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-prefetch"
-            )
-            pending = None
-            try:
-                pending = prefetch.submit(_sample_chunk, sampler, jobs[0])
-                for k, job in enumerate(jobs):
-                    batch = pending.result()
-                    pending = None
-                    if k + 1 < len(jobs):
-                        pending = prefetch.submit(
-                            _sample_chunk, sampler, jobs[k + 1]
-                        )
-                    if _account(_decode_chunk(dec, job, batch, dense_reference)):
-                        break
-            finally:
-                if pending is not None:
-                    pending.cancel()
-                prefetch.shutdown(wait=False, cancel_futures=True)
-        else:
-            for job in jobs:
-                if _account(_run_chunk_with(sampler, dec, job, dense_reference)):
+        # DemSampler is read-only after construction and each chunk
+        # samples from its own generator, so one prefetch thread can
+        # sample chunk k+1 while the main thread decodes chunk k.  On
+        # early exit (max_failures tripped, or decode raised) the
+        # presampled chunk is discarded — shut down without waiting for
+        # it, or the caller would block on a full chunk sample nobody
+        # will read (tests/test_shotrunner.py pins this).
+        prefetch = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-prefetch"
+        )
+        pending = None
+        try:
+            pending = prefetch.submit(_sample_chunk, sampler, jobs[0])
+            for k, job in enumerate(jobs):
+                batch = pending.result()
+                pending = None
+                if k + 1 < len(jobs):
+                    pending = prefetch.submit(_sample_chunk, sampler, jobs[k + 1])
+                if _account(_decode_chunk(dec, job, batch)):
                     break
+        finally:
+            if pending is not None:
+                pending.cancel()
+            prefetch.shutdown(wait=False, cancel_futures=True)
     else:
         workers = min(workers, len(jobs), os.cpu_count() or 1)
-        # Prefer fork (cheap workers, DEM shared copy-on-write, like the
-        # paper's multicore runs); fall back to the platform default where
-        # fork is unavailable — correctness is unaffected, only startup cost.
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=ctx,
-            initializer=_init_worker,
-            initargs=(dem, basis, decoder, dense_reference, syndrome_cache_dir),
+        pool = _fork_pool(
+            workers,
+            _init_worker,
+            (dem, basis, decoder, syndrome_cache_dir, cfg.syndrome_writer_tag),
         )
         try:
             # Keep a bounded in-flight window and consume results strictly
@@ -549,14 +480,10 @@ def make_stratified_pool(
     decoder compile once instead of once per round.  The caller owns
     shutdown.
     """
-    workers = min(workers, os.cpu_count() or 1)
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=ctx,
-        initializer=_init_stratified_worker,
-        initargs=(dem, basis, decoder, max_weight, mode),
+    return _fork_pool(
+        min(workers, os.cpu_count() or 1),
+        _init_stratified_worker,
+        (dem, basis, decoder, max_weight, mode),
     )
 
 
@@ -646,29 +573,23 @@ def estimate_logical_error_rate_chunked(
     rng: np.random.Generator | None = None,
     noise=None,
     config: ExecutionConfig | None = None,
-    **legacy,
 ) -> LogicalErrorRate:
     """Chunk-runner-backed Monte-Carlo logical error rate.
 
     The engine behind
     :func:`repro.decoders.metrics.estimate_logical_error_rate`; call
     this directly to pass an :class:`ExecutionConfig` (worker fan-out,
-    chunk size, early-stop cap, ... — the old ``workers``/
-    ``chunk_size``/``max_failures`` keywords still work with a one-time
-    deprecation warning).  ``noise`` is a
+    chunk size, early-stop cap, ...).  ``noise`` is a
     :class:`~repro.noise.spec.NoiseSpec`, a noise token, an inline
     payload, or ``None`` (uniform depolarizing at ``p`` plus
     ``idle_strength``) — resolved through
     :func:`repro.noise.spec.resolve_noise`.
     """
-    cfg = resolve_execution(
-        "estimate_logical_error_rate_chunked", config, legacy
-    )
     # A sampler/decoder instance is bound to one (DEM, basis); this
     # entry point builds a fresh DEM per basis, so injection cannot
     # carry across — strip it rather than decode the x basis with a
     # z-basis decoder.
-    cfg = cfg.replace(sampler=None, dec=None)
+    cfg = (config or ExecutionConfig()).replace(sampler=None, dec=None)
     rng = rng or np.random.default_rng()
     noise = resolve_noise(noise, p, idle_strength)
     per_basis: dict[str, MemoryResult] = {}

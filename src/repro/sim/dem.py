@@ -26,8 +26,9 @@ in site order and gate provenance concatenated.  Provenance is how
 PropHunt maps errors back to schedule edges (§5.3).
 
 The model is stored columnar (:class:`DemArrays`): probabilities, CSR
-detector / observable incidence, and per-source provenance arrays.  The
-per-mechanism object form (:attr:`DetectorErrorModel.mechanisms`) is
+detector / observable incidence, and per-source provenance arrays —
+the model's only representation.  The per-mechanism object form
+(:attr:`DetectorErrorModel.mechanisms`) is a read-only snapshot of it,
 built only when something asks for it.
 """
 
@@ -75,7 +76,7 @@ class ErrorSource:
     qubits: tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ErrorMechanism:
     """A merged circuit-level error: probability, flips, provenance."""
 
@@ -304,16 +305,15 @@ class DemArrays:
 
 
 class DetectorErrorModel:
-    """Circuit-level H/L: columnar arrays, with an object view on request.
+    """Circuit-level H/L, stored columnar.
 
-    Extraction fills :class:`DemArrays` (:attr:`arrays`), which
-    ``probabilities()``, ``check_matrices()``, ``fingerprint()`` and the hot
-    consumers (decoders, PropHunt) read directly.  :attr:`mechanisms` is
-    the per-mechanism object form: built on first access and authoritative
-    from then on — edits to it (``m.prob = 0``) are what every accessor
-    sees.  A model constructed from a mechanism list starts in that state;
-    its sources must be one- or two-qubit Paulis (``"X3"``, ``"Y3*Z5"``) on
-    their listed qubits, the form extraction produces.
+    :attr:`arrays` (:class:`DemArrays`) is the one representation:
+    ``probabilities()``, ``check_matrices()``, ``fingerprint()`` and the
+    hot consumers (decoders, PropHunt) read it directly, and models are
+    treated as immutable.  A model constructed from a mechanism list is
+    converted once, at construction; its sources must be one- or
+    two-qubit Paulis (``"X3"``, ``"Y3*Z5"``) on their listed qubits, the
+    form extraction produces, or construction raises ``ValueError``.
     """
 
     def __init__(
@@ -323,8 +323,7 @@ class DetectorErrorModel:
         num_observables: int,
         detector_labels: list[tuple] | None = None,
     ):
-        self._mechanisms: list[ErrorMechanism] | None = list(mechanisms)
-        self._arrays: DemArrays | None = None
+        self.arrays = DemArrays.from_mechanisms(list(mechanisms))
         self.num_detectors = num_detectors
         self.num_observables = num_observables
         self.detector_labels = [] if detector_labels is None else detector_labels
@@ -338,39 +337,21 @@ class DetectorErrorModel:
         detector_labels: list[tuple] | None = None,
     ) -> "DetectorErrorModel":
         dem = cls([], num_detectors, num_observables, detector_labels)
-        dem._mechanisms, dem._arrays = None, arrays
+        dem.arrays = arrays
         return dem
 
-    @property
-    def mechanisms(self) -> list[ErrorMechanism]:
-        if self._mechanisms is None:
-            self._mechanisms = self._arrays.to_mechanisms()
-            self._arrays = None
-        return self._mechanisms
-
-    @property
-    def arrays(self) -> DemArrays:
-        """The columnar form.
-
-        Once :attr:`mechanisms` has been built it is authoritative, and
-        each access returns a fresh snapshot of it — work proportional to
-        the whole model, so fetch it once per pass in that state.
-        """
-        if self._mechanisms is not None:
-            return DemArrays.from_mechanisms(self._mechanisms)
-        return self._arrays
+    @cached_property
+    def mechanisms(self) -> tuple[ErrorMechanism, ...]:
+        """Read-only per-mechanism snapshot of :attr:`arrays`, built once."""
+        return tuple(self.arrays.to_mechanisms())
 
     @property
     def num_errors(self) -> int:
-        if self._mechanisms is not None:
-            return len(self._mechanisms)
-        return self._arrays.num_errors
+        return self.arrays.num_errors
 
     def sources(self, j: int) -> tuple[ErrorSource, ...]:
         """Provenance of mechanism ``j``."""
-        if self._mechanisms is not None:
-            return self._mechanisms[j].sources
-        return self._arrays.sources(j)
+        return self.arrays.sources(j)
 
     def probabilities(self) -> np.ndarray:
         return self.arrays.probs.copy()
@@ -394,12 +375,9 @@ class DetectorErrorModel:
     def undetectable_logical_mechanisms(self) -> list[ErrorMechanism]:
         """Mechanisms that flip an observable but no detector (d_eff = 1!).
 
-        On a columnar model the result is built from the arrays, without
-        building :attr:`mechanisms`; edits to it do not reach the model.
+        Built from the arrays, without building :attr:`mechanisms`.
         """
-        if self._mechanisms is not None:
-            return [m for m in self._mechanisms if m.observables and not m.detectors]
-        arrays = self._arrays
+        arrays = self.arrays
         hits = np.flatnonzero(
             (np.diff(arrays.obs_indptr) > 0) & (np.diff(arrays.det_indptr) == 0)
         )

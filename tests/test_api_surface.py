@@ -3,19 +3,22 @@
 The facade exists so internals can churn without breaking user code;
 that only holds if its surface is *tested*.  These tests pin the
 ``__all__`` list, the call signatures of every facade function, and the
-legacy-keyword shim of :class:`ExecutionConfig` — renaming a parameter
-or dropping a name fails here before it fails downstream.
+fields of :class:`ExecutionConfig` — the only way execution knobs reach
+the shot-loop entry points — so renaming a parameter or dropping a name
+fails here before it fails downstream.
 """
 
 import inspect
-import warnings
 
-import numpy as np
 import pytest
 
 import repro.api as api
-from repro.experiments import shotrunner
-from repro.experiments.shotrunner import ExecutionConfig, resolve_execution
+from repro.experiments.campaign import execute_job
+from repro.experiments.shotrunner import (
+    ExecutionConfig,
+    estimate_logical_error_rate_chunked,
+    run_shot_chunks,
+)
 
 
 def params(fn):
@@ -109,8 +112,6 @@ class TestSurface:
             "workers",
             "chunk_shots",
             "max_failures",
-            "streaming",
-            "dense_reference",
             "sampler",
             "dec",
             "syndrome_cache_dir",
@@ -120,6 +121,17 @@ class TestSurface:
         assert cfg.workers == 1 and cfg.chunk_shots == 5_000
         assert cfg.replace(workers=3).workers == 3
         assert cfg.workers == 1  # frozen: replace returns a copy
+
+    @pytest.mark.parametrize(
+        "entry_point",
+        [run_shot_chunks, estimate_logical_error_rate_chunked, execute_job],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_execution_keywords_are_a_type_error(self, entry_point):
+        # Knobs ride ExecutionConfig only; a bare keyword never binds.
+        assert "workers" not in params(entry_point)
+        with pytest.raises(TypeError, match="workers"):
+            entry_point(None, workers=2)
 
 
 class TestSessionBehavior:
@@ -155,66 +167,3 @@ class TestSessionBehavior:
     def test_evaluate_single_basis(self):
         ler = api.evaluate("surface_d3", "nz", p=3e-3, shots=256, basis="z")
         assert list(ler.per_basis) == ["z"]
-
-
-class TestLegacyKeywordShim:
-    def setup_method(self):
-        shotrunner._legacy_warned.clear()
-
-    def test_legacy_keywords_warn_once_per_entry_point(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            resolve_execution("ep_a", None, {"workers": 2})
-            resolve_execution("ep_a", None, {"workers": 3})
-            resolve_execution("ep_b", None, {"workers": 2})
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2  # once per entry point, not per call
-
-    def test_legacy_keywords_map_onto_config(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = resolve_execution(
-                "ep_map",
-                None,
-                {"workers": 4, "chunk_size": 100, "max_failures": 7},
-            )
-        assert (cfg.workers, cfg.chunk_shots, cfg.max_failures) == (4, 100, 7)
-
-    def test_unknown_keyword_is_a_type_error(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            resolve_execution("ep_bad", None, {"wrokers": 2})
-
-    def test_config_and_legacy_keywords_are_equivalent(self, tmp_path):
-        dem = _smoke_dem()
-        rng_a = np.random.default_rng(7)
-        rng_b = np.random.default_rng(7)
-        new = shotrunner.run_shot_chunks(
-            dem,
-            shots=256,
-            rng=rng_a,
-            config=ExecutionConfig(chunk_shots=64, max_failures=None),
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            old = shotrunner.run_shot_chunks(
-                dem, shots=256, rng=rng_b, chunk_size=64
-            )
-        assert new.to_dict() == old.to_dict()
-
-    def test_explicit_config_wins_over_defaults(self):
-        cfg = resolve_execution(
-            "ep_cfg", ExecutionConfig(workers=5), {}
-        )
-        assert cfg.workers == 5
-
-
-def _smoke_dem():
-    from repro.codes import rotated_surface_code
-    from repro.circuits import nz_schedule
-    from repro.decoders.metrics import dem_for
-    from repro.noise.model import NoiseModel
-
-    code = rotated_surface_code(3)
-    return dem_for(code, nz_schedule(code), NoiseModel(p=3e-3), basis="z")

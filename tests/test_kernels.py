@@ -1,7 +1,7 @@
 """Bit-for-bit parity of every kernel backend against the numpy reference.
 
 The contract (ROADMAP item 2): whatever backend ``repro.gf2.kernels``
-selects at import — numpy, threads, or the runtime-compiled C library —
+selects at import — numpy or the runtime-compiled C library —
 the three hot-spot kernels produce results indistinguishable from the
 pinned numpy reference.  ``transpose_words`` and ``popcount_words`` must
 match exactly; ``unique_shot_words`` must produce the same *grouping*

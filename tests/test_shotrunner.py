@@ -7,6 +7,7 @@ pinned for :mod:`repro.core.parallel`, the other process fan-out in the
 codebase.
 """
 
+import os
 import threading
 import time
 
@@ -132,7 +133,10 @@ class TestSeedSpawningFallback:
     def test_runner_reproducible_with_fallback_rng(self, d3_dem):
         runs = [
             run_shot_chunks(
-                d3_dem, shots=640, rng=self._rng(7), chunk_size=256
+                d3_dem,
+                shots=640,
+                rng=self._rng(7),
+                config=ExecutionConfig(chunk_shots=256),
             )
             for _ in range(2)
         ]
@@ -151,12 +155,14 @@ class TestTailWordBoundaries:
     def test_packed_equals_dense_through_runner(self, noisy_dem, shots):
         counts = {}
         for dense in (False, True):
+            dec = make_decoder(noisy_dem, "z", "auto")
             est = run_shot_chunks(
                 noisy_dem,
                 shots=shots,
                 rng=np.random.default_rng(31),
-                chunk_size=64,
-                dense_reference=dense,
+                config=ExecutionConfig(
+                    chunk_shots=64, dec=_DenseReference(dec) if dense else dec
+                ),
             )
             counts[dense] = (est.failures, est.shots)
         assert counts[False] == counts[True]
@@ -166,27 +172,30 @@ class TestTailWordBoundaries:
         # With garbage tail bits, 63 shots could report up to 64
         # failures; the count must respect the true shot count.
         est = run_shot_chunks(
-            noisy_dem, shots=63, rng=np.random.default_rng(2), chunk_size=64
+            noisy_dem,
+            shots=63,
+            rng=np.random.default_rng(2),
+            config=ExecutionConfig(chunk_shots=64),
         )
         assert 0 <= est.failures <= 63
 
 
 class TestStreaming:
-    """The prefetch overlap must be invisible: bit-identical results,
+    """The inline path's prefetch overlap must be invisible: bit-identical
+    to pool workers (which sample and decode each chunk sequentially),
     in-order chunk streaming, and the same early-stop point."""
 
     def test_streaming_matches_sequential(self, d3_dem):
         results = {}
-        for streaming in (False, True):
+        for workers in (1, 2):
             est = run_shot_chunks(
                 d3_dem,
                 shots=2000,
                 rng=np.random.default_rng(123),
-                chunk_size=256,
-                streaming=streaming,
+                config=ExecutionConfig(chunk_shots=256, workers=workers),
             )
-            results[streaming] = (est.failures, est.shots)
-        assert results[False] == results[True]
+            results[workers] = (est.failures, est.shots)
+        assert results[1] == results[2]
 
     def test_streaming_chunks_in_order(self, d3_dem):
         seen = []
@@ -194,8 +203,7 @@ class TestStreaming:
             d3_dem,
             shots=1500,
             rng=np.random.default_rng(5),
-            chunk_size=256,
-            streaming=True,
+            config=ExecutionConfig(chunk_shots=256),
             on_chunk=seen.append,
         )
         assert [c.index for c in seen] == list(range(len(seen)))
@@ -203,18 +211,18 @@ class TestStreaming:
 
     def test_streaming_early_stop_identical(self, noisy_dem):
         results = {}
-        for streaming in (False, True):
+        for workers in (1, 2):
             est = run_shot_chunks(
                 noisy_dem,
                 shots=20_000,
                 rng=np.random.default_rng(7),
-                chunk_size=256,
-                max_failures=10,
-                streaming=streaming,
+                config=ExecutionConfig(
+                    chunk_shots=256, max_failures=10, workers=workers
+                ),
             )
-            results[streaming] = (est.failures, est.shots)
-        assert results[False] == results[True]
-        assert results[True][1] < 20_000
+            results[workers] = (est.failures, est.shots)
+        assert results[1] == results[2]
+        assert results[1][1] < 20_000
 
 
 class _GatedSampler:
@@ -246,6 +254,17 @@ class _AllFailDecoder:
         return batch.shots
 
 
+class _DenseReference:
+    """Routes a real decoder's failure count through the pinned dense
+    reference path, via the runner's decoder-injection seam."""
+
+    def __init__(self, dec):
+        self.dec = dec
+
+    def count_failures_packed(self, batch: BitSampleBatch) -> int:
+        return self.dec.count_failures_dense(batch)
+
+
 class _RaisingDecoder:
     def count_failures_packed(self, batch: BitSampleBatch) -> int:
         raise RuntimeError("decode blew up")
@@ -259,7 +278,6 @@ class TestPrefetchShutdown:
         gate = threading.Event()
         sampler = _GatedSampler(gate)
         cfg = ExecutionConfig(
-            streaming=True,
             chunk_shots=64,
             max_failures=1,
             sampler=sampler,
@@ -280,7 +298,6 @@ class TestPrefetchShutdown:
         gate = threading.Event()
         sampler = _GatedSampler(gate)
         cfg = ExecutionConfig(
-            streaming=True,
             chunk_shots=64,
             sampler=sampler,
             dec=_RaisingDecoder(),
@@ -303,8 +320,7 @@ class TestRunnerDeterminism:
                 d3_dem,
                 shots=4000,
                 rng=np.random.default_rng(123),
-                chunk_size=640,
-                workers=workers,
+                config=ExecutionConfig(chunk_shots=640, workers=workers),
             )
             results[workers] = (est.failures, est.shots)
         assert results[1] == results[4]
@@ -316,8 +332,7 @@ class TestRunnerDeterminism:
             d3_dem,
             shots=2000,
             rng=np.random.default_rng(5),
-            chunk_size=512,
-            workers=2,
+            config=ExecutionConfig(chunk_shots=512, workers=2),
             on_chunk=seen.append,
         )
         assert [c.index for c in seen] == list(range(len(seen)))
@@ -331,9 +346,9 @@ class TestRunnerDeterminism:
                 noisy_dem,
                 shots=20_000,
                 rng=np.random.default_rng(7),
-                chunk_size=256,
-                workers=workers,
-                max_failures=10,
+                config=ExecutionConfig(
+                    chunk_shots=256, workers=workers, max_failures=10
+                ),
             )
             results[workers] = (est.failures, est.shots)
         assert results[1] == results[3]
@@ -348,9 +363,8 @@ class TestRunnerDeterminism:
                 nz_schedule(d3_code),
                 p=2e-3,
                 shots=2000,
-                chunk_size=512,
                 rng=np.random.default_rng(0),
-                workers=workers,
+                config=ExecutionConfig(chunk_shots=512, workers=workers),
             )
             rates[workers] = (
                 ler.rate,
@@ -359,36 +373,39 @@ class TestRunnerDeterminism:
             )
         assert rates[1] == rates[2]
 
-    def test_dense_reference_matches_packed(self, d3_dem):
+    def test_dense_adapter_matches_packed(self, d3_dem):
         """The packed LER loop and the pinned dense-decode path are the
         same estimator — identical failure counts, chunk for chunk."""
         runs = {}
         for dense in (False, True):
+            dec = make_decoder(d3_dem, "z", "auto")
             est = run_shot_chunks(
                 d3_dem,
                 shots=3000,
                 rng=np.random.default_rng(17),
-                chunk_size=640,
-                dense_reference=dense,
+                config=ExecutionConfig(
+                    chunk_shots=640, dec=_DenseReference(dec) if dense else dec
+                ),
             )
             runs[dense] = (est.failures, est.shots)
         assert runs[False] == runs[True]
 
-    def test_dense_reference_matches_packed_across_workers(self, d3_dem):
+    def test_dense_adapter_matches_packed_across_workers(self, d3_dem):
+        """Pool workers decode packed; the inline dense reference agrees."""
         est_packed = run_shot_chunks(
             d3_dem,
             shots=2000,
             rng=np.random.default_rng(23),
-            chunk_size=512,
-            workers=2,
+            config=ExecutionConfig(chunk_shots=512, workers=2),
         )
         est_dense = run_shot_chunks(
             d3_dem,
             shots=2000,
             rng=np.random.default_rng(23),
-            chunk_size=512,
-            workers=2,
-            dense_reference=True,
+            config=ExecutionConfig(
+                chunk_shots=512,
+                dec=_DenseReference(make_decoder(d3_dem, "z", "auto")),
+            ),
         )
         assert (est_packed.failures, est_packed.shots) == (
             est_dense.failures,
@@ -399,15 +416,20 @@ class TestRunnerDeterminism:
         """A campaign compile cache injecting sampler/decoder is pure
         reuse — bit-identical to the build-per-call path."""
         fresh = run_shot_chunks(
-            d3_dem, shots=1000, rng=np.random.default_rng(9), chunk_size=256
+            d3_dem,
+            shots=1000,
+            rng=np.random.default_rng(9),
+            config=ExecutionConfig(chunk_shots=256),
         )
         injected = run_shot_chunks(
             d3_dem,
             shots=1000,
             rng=np.random.default_rng(9),
-            chunk_size=256,
-            sampler=DemSampler(d3_dem),
-            dec=make_decoder(d3_dem, "z", "auto"),
+            config=ExecutionConfig(
+                chunk_shots=256,
+                sampler=DemSampler(d3_dem),
+                dec=make_decoder(d3_dem, "z", "auto"),
+            ),
         )
         assert (fresh.failures, fresh.shots) == (injected.failures, injected.shots)
 
@@ -427,10 +449,29 @@ class TestRunnerDeterminism:
             p=2e-3,
             shots=1500,
             rng=np.random.default_rng(3),
-            chunk_size=500,
+            config=ExecutionConfig(chunk_shots=500),
         )
         assert via_metrics.rate == via_runner.rate
         assert via_metrics.shots == via_runner.shots
+
+
+class TestPoolSyndromeCache:
+    def test_pool_workers_write_the_tagged_shard(self, d3_dem, tmp_path):
+        """Pool workers append to the writer's private shard, never the
+        shared base file."""
+        run_shot_chunks(
+            d3_dem,
+            shots=2000,
+            rng=np.random.default_rng(4),
+            config=ExecutionConfig(
+                chunk_shots=512,
+                workers=2,
+                syndrome_cache_dir=str(tmp_path),
+                syndrome_writer_tag="w1",
+            ),
+        )
+        names = os.listdir(tmp_path)
+        assert names and all(name.endswith(".ww1.cache") for name in names)
 
 
 class TestEarlyStopAccounting:
@@ -450,9 +491,7 @@ class TestEarlyStopAccounting:
             noisy_dem,
             shots=planned,
             rng=np.random.default_rng(7),
-            chunk_size=256,
-            workers=workers,
-            max_failures=10,
+            config=ExecutionConfig(chunk_shots=256, workers=workers, max_failures=10),
             on_chunk=seen.append,
         )
         assert est.shots == sum(c.shots for c in seen)
@@ -467,8 +506,7 @@ class TestEarlyStopAccounting:
             d3_dem,
             shots=1280,
             rng=np.random.default_rng(1),
-            chunk_size=256,
-            max_failures=10_000,
+            config=ExecutionConfig(chunk_shots=256, max_failures=10_000),
         )
         assert est.shots == 1280
 
