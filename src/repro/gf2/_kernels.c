@@ -1,4 +1,6 @@
-/* Native kernels for the packed-bit hot spots.
+/* Native kernels for the packed-bit hot spots: bit transpose, row
+ * popcount, row fold (the unique-syndrome grouping key) and batched GF(2)
+ * row reduction.
  *
  * Compiled at runtime by repro.gf2.kernels (plain `cc -O3 -shared -fPIC`,
  * optionally with -fopenmp) and loaded through ctypes — no build step, no
@@ -111,5 +113,65 @@ void repro_fold_rows(const uint64_t *in, long m, long n, uint64_t *out) {
       h = v ^ (v >> 31);
     }
     out[i] = h;
+  }
+}
+
+/* Batched in-place full RREF over GF(2).
+ *
+ * words : (batch, nrows, nwords) uint64, C-contiguous, reduced in place
+ * limit : eliminate over the leading `limit` columns only (the augmented
+ *         [A | b] case leaves the trailing columns as passengers)
+ * pivots: (batch, nrows) int64 out; pivots[b][r] = pivot column of row r
+ *         for r < ranks[b], -1 beyond
+ * ranks : (batch,) int64 out
+ *
+ * The pivot rule and row swaps are exactly those of the numpy reference
+ * (repro.gf2.kernels.NumpyBackend.rref_batch): the pivot for a column is
+ * the first row at or below `rank` with the bit set, swapped into place
+ * and XORed into every other row with the bit.  Rows at or below `rank`
+ * are zero in every column already passed, so the XOR starts at the
+ * pivot's word.  Serial by design: the batches are small and the callers
+ * already run one per worker process.
+ */
+void repro_rref_batch(uint64_t *words, long batch, long nrows, long nwords,
+                      long limit, int64_t *pivots, int64_t *ranks) {
+  for (long b = 0; b < batch; b++) {
+    uint64_t *mat = words + b * nrows * nwords;
+    int64_t *piv = pivots + b * nrows;
+    long rank = 0;
+    for (long r = 0; r < nrows; r++) {
+      piv[r] = -1;
+    }
+    for (long col = 0; col < limit && rank < nrows; col++) {
+      const long w = col / 64;
+      const uint64_t bit = 1ULL << (col % 64);
+      long p = rank;
+      while (p < nrows && !(mat[p * nwords + w] & bit)) {
+        p++;
+      }
+      if (p == nrows) {
+        continue;
+      }
+      uint64_t *prow = mat + rank * nwords;
+      if (p != rank) {
+        uint64_t *other = mat + p * nwords;
+        for (long k = w; k < nwords; k++) {
+          const uint64_t t = prow[k];
+          prow[k] = other[k];
+          other[k] = t;
+        }
+      }
+      for (long r = 0; r < nrows; r++) {
+        uint64_t *row = mat + r * nwords;
+        if (r != rank && (row[w] & bit)) {
+          for (long k = w; k < nwords; k++) {
+            row[k] ^= prow[k];
+          }
+        }
+      }
+      piv[rank] = col;
+      rank++;
+    }
+    ranks[b] = rank;
   }
 }

@@ -138,39 +138,11 @@ class BitMatrix:
 
         ``ncols`` limits elimination to the leading columns, which lets
         callers reduce an augmented system ``[A | b]`` over ``A`` only.
+        A batch of one for :func:`repro.gf2.kernels.rref_batch`.
         """
         limit = self.ncols if ncols is None else min(ncols, self.ncols)
-        words = self.words
-        nrows = self.nrows
-        pivots: list[int] = []
-        rank = 0
-        next_liveness_check = 0
-        for col in range(limit):
-            # Periodically bail out once every remaining row is zero — big
-            # win for wide, rank-deficient matrices (OSD's common case).
-            if col >= next_liveness_check:
-                if not words[rank:].any():
-                    break
-                next_liveness_check = col + 256
-            w, b = col // _WORD, np.uint64(col % _WORD)
-            colbits = (words[rank:, w] >> b) & np.uint64(1)
-            hits = np.nonzero(colbits)[0]
-            if hits.size == 0:
-                continue
-            pivot_row = rank + int(hits[0])
-            if pivot_row != rank:
-                words[[rank, pivot_row]] = words[[pivot_row, rank]]
-            # Eliminate the pivot column from every other row in one shot.
-            col_all = (words[:, w] >> b) & np.uint64(1)
-            col_all[rank] = 0
-            targets = np.nonzero(col_all)[0]
-            if targets.size:
-                words[targets] ^= words[rank]
-            pivots.append(col)
-            rank += 1
-            if rank == nrows:
-                break
-        return pivots
+        pivots, ranks = kernels.rref_batch(self.words[None], max(0, limit))
+        return pivots[0, : ranks[0]].tolist()
 
     def rank(self) -> int:
         return len(self.copy().row_reduce())
@@ -180,16 +152,14 @@ class BitMatrix:
         reduced = self.copy()
         pivots = reduced.row_reduce()
         n = self.ncols
-        pivot_set = set(pivots)
-        free_cols = [j for j in range(n) if j not in pivot_set]
-        basis = BitMatrix.zeros(len(free_cols), n)
+        free_cols = np.setdiff1d(np.arange(n), pivots)
         dense = reduced.to_dense()
-        for k, free in enumerate(free_cols):
-            basis.set(k, free, 1)
-            for r, pcol in enumerate(pivots):
-                if dense[r, free]:
-                    basis.set(k, pcol, 1)
-        return basis
+        # Free column f's basis vector: itself plus every pivot column
+        # whose reduced row has a 1 at f.
+        basis = np.zeros((free_cols.size, n), dtype=np.uint8)
+        basis[np.arange(free_cols.size), free_cols] = 1
+        basis[:, pivots] = dense[: len(pivots)][:, free_cols].T
+        return BitMatrix.from_dense(basis)
 
     # -- derived queries ------------------------------------------------------
 
@@ -204,10 +174,11 @@ class BitMatrix:
         return self.stack(vectors).rank() == base
 
     def solve(self, rhs: np.ndarray) -> np.ndarray | None:
-        """One solution ``x`` of ``A^T applied? — here: rows as equations``.
+        """One solution ``x`` of ``A x = rhs (mod 2)``, or ``None``.
 
-        Treats ``self`` as the coefficient matrix ``A`` of ``A x = rhs`` with
-        one *row per equation*.  Returns a dense uint8 solution or ``None``
+        ``self`` is the coefficient matrix ``A`` with one row per equation,
+        so ``rhs`` has one bit per row.  Free variables are set to zero;
+        the result is a dense uint8 vector of length ``ncols``, or ``None``
         if the system is inconsistent.
         """
         rhs = np.asarray(rhs, dtype=np.uint8).ravel() & 1
@@ -222,8 +193,7 @@ class BitMatrix:
         if np.any(dense[rank:, -1]):
             return None
         x = np.zeros(self.ncols, dtype=np.uint8)
-        for r, col in enumerate(pivots):
-            x[col] = dense[r, -1]
+        x[pivots] = dense[:rank, -1]
         return x
 
     def matvec(self, x: np.ndarray) -> np.ndarray:

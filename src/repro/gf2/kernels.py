@@ -1,7 +1,9 @@
-"""Pluggable backends for the three packed-bit hot-spot kernels.
+"""Pluggable backends for the four packed-bit hot-spot kernels.
 
 Profiling the packed sample→decode pipeline (PR 2) puts essentially all
-of its non-decoder time in three word-level kernels:
+of its non-decoder time in three word-level kernels, and PropHunt's
+optimization loop spends most of its time in the fourth, GF(2)
+elimination:
 
 ``transpose_words``
     The blockwise 64x64 butterfly bit transpose that turns packed
@@ -11,6 +13,11 @@ of its non-decoder time in three word-level kernels:
 ``unique_shot_words``
     Grouping shots by identical syndrome key (the unique-syndrome
     batching core).
+``rref_batch``
+    In-place full RREF of a stack of packed matrices — every row
+    reduction (``BitMatrix.row_reduce``, hence rank, nullspace, solve,
+    OSD-0) and the batched information-set search behind
+    ``repro.codes.distance.min_weight_logical``.
 
 This module gives each of them swappable implementations behind one
 dispatch point:
@@ -22,8 +29,9 @@ dispatch point:
 ``cnative``
     A tiny C translation unit (``_kernels.c``) compiled on first use
     with the system compiler (``cc -O3 -shared -fPIC``, with OpenMP
-    threading when available), loaded through ctypes, and self-tested
-    against the numpy reference before it is ever trusted.  No build
+    threading when available; the elimination kernel is serial),
+    loaded through ctypes, and self-tested against the numpy reference
+    before it is ever trusted.  No build
     step, no new dependency: if anything in that chain is missing the
     resolver silently falls back.  Its grouping is a hash fold:
     multi-word keys are folded to one ``uint64`` with a splitmix64 mix
@@ -64,6 +72,7 @@ _WORD = 64
 _TRANSPOSE_CALLS = obs.counter("kernel.transpose")
 _POPCOUNT_CALLS = obs.counter("kernel.popcount")
 _UNIQUE_CALLS = obs.counter("kernel.unique")
+_RREF_CALLS = obs.counter("kernel.rref")
 _BACKEND_CALLS = obs.counter("kernel.backend.numpy")
 
 # -- numpy-version-portable popcount ------------------------------------------
@@ -102,6 +111,32 @@ def _check_words_2d(words: np.ndarray) -> np.ndarray:
     if words.ndim != 2:
         raise ValueError(f"expected packed 2-D words, got shape {words.shape}")
     return words
+
+
+def _check_rref_stack(words: np.ndarray, limit: int) -> int:
+    """Validate an in-place elimination stack; returns ``limit`` as int.
+
+    The reduction happens in place, so the stack must already be the
+    exact buffer the caller keeps: a writeable C-contiguous
+    ``(batch, nrows, nwords)`` uint64 array.
+    """
+    if (
+        not isinstance(words, np.ndarray)
+        or words.dtype != np.uint64
+        or words.ndim != 3
+        or not words.flags.c_contiguous
+        or not words.flags.writeable
+    ):
+        raise ValueError(
+            "rref_batch needs a writeable C-contiguous (batch, nrows, nwords) "
+            "uint64 array"
+        )
+    limit = int(limit)
+    if not 0 <= limit <= words.shape[2] * _WORD:
+        raise ValueError(
+            f"limit {limit} outside the {words.shape[2] * _WORD} packed columns"
+        )
+    return limit
 
 
 def _group_nonzero(per_shot: np.ndarray):
@@ -217,6 +252,44 @@ class NumpyBackend:
         return _assemble_groups(
             per_shot, nz_idx, has_zero, inverse, unique_nz, inv_nz
         )
+
+    def rref_batch(
+        self, words: np.ndarray, limit: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        batch, nrows, _ = words.shape
+        pivots = np.full((batch, nrows), -1, dtype=np.int64)
+        ranks = np.zeros(batch, dtype=np.int64)
+        for m in range(batch):
+            mat = words[m]
+            rank = 0
+            next_liveness_check = 0
+            for col in range(limit):
+                # Periodically bail out once every remaining row is zero —
+                # big win for wide, rank-deficient matrices (OSD's case).
+                if col >= next_liveness_check:
+                    if not mat[rank:].any():
+                        break
+                    next_liveness_check = col + 256
+                w, b = col // _WORD, np.uint64(col % _WORD)
+                colbits = (mat[rank:, w] >> b) & np.uint64(1)
+                hits = np.nonzero(colbits)[0]
+                if hits.size == 0:
+                    continue
+                pivot_row = rank + int(hits[0])
+                if pivot_row != rank:
+                    mat[[rank, pivot_row]] = mat[[pivot_row, rank]]
+                # Eliminate the pivot column from every other row at once.
+                col_all = (mat[:, w] >> b) & np.uint64(1)
+                col_all[rank] = 0
+                targets = np.nonzero(col_all)[0]
+                if targets.size:
+                    mat[targets] ^= mat[rank]
+                pivots[m, rank] = col
+                rank += 1
+                if rank == nrows:
+                    break
+            ranks[m] = rank
+        return pivots, ranks
 
 
 # -- hash-fold grouping (cnative fast path) -----------------------------------
@@ -344,6 +417,16 @@ class CNativeBackend(NumpyBackend):
         lib.repro_popcount_rows.restype = None
         lib.repro_fold_rows.argtypes = [u64p, ctypes.c_long, ctypes.c_long, u64p]
         lib.repro_fold_rows.restype = None
+        lib.repro_rref_batch.argtypes = [
+            u64p,
+            ctypes.c_long,
+            ctypes.c_long,
+            ctypes.c_long,
+            ctypes.c_long,
+            i64p,
+            i64p,
+        ]
+        lib.repro_rref_batch.restype = None
 
     @staticmethod
     def _u64p(arr: np.ndarray):
@@ -394,6 +477,25 @@ class CNativeBackend(NumpyBackend):
     ) -> tuple[np.ndarray, np.ndarray]:
         return _unique_hashfold(per_shot, self._fold_rows)
 
+    def rref_batch(
+        self, words: np.ndarray, limit: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        batch, nrows, nwords = words.shape
+        # The kernel writes every entry of both outputs.
+        pivots = np.empty((batch, nrows), dtype=np.int64)
+        ranks = np.empty(batch, dtype=np.int64)
+        i64p = ctypes.POINTER(ctypes.c_int64)
+        self._lib.repro_rref_batch(
+            self._u64p(words),
+            batch,
+            nrows,
+            nwords,
+            limit,
+            pivots.ctypes.data_as(i64p),
+            ranks.ctypes.data_as(i64p),
+        )
+        return pivots, ranks
+
 
 def _self_test(backend: NumpyBackend) -> bool:
     """Tiny parity check before a non-reference backend is trusted."""
@@ -410,10 +512,26 @@ def _self_test(backend: NumpyBackend) -> bool:
         keys = rng.integers(0, 4, size=(97, 2), dtype=np.uint64)
         got_u, got_inv = backend.unique_shot_words(keys)
         want_u, want_inv = ref.unique_shot_words(keys)
-        return (
+        if not (
             got_u.shape == want_u.shape
             and np.array_equal(got_u[got_inv], want_u[want_inv])
             and np.array_equal(got_u[got_inv], keys)
+        ):
+            return False
+        # Low-density multi-word stack with a duplicated row, reduced over
+        # a column prefix that ends inside the second word.
+        stack = (
+            rng.integers(0, 2**63, size=(2, 24, 2), dtype=np.uint64)
+            & rng.integers(0, 2**63, size=(2, 24, 2), dtype=np.uint64)
+        )
+        stack[:, 5] = stack[:, 2]
+        want = stack.copy()
+        got_piv, got_rank = backend.rref_batch(stack, 100)
+        want_piv, want_rank = ref.rref_batch(want, 100)
+        return (
+            np.array_equal(stack, want)
+            and np.array_equal(got_piv, want_piv)
+            and np.array_equal(got_rank, want_rank)
         )
     except Exception:
         return False
@@ -544,6 +662,30 @@ def unique_shot_words(per_shot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _UNIQUE_CALLS.add()
     _BACKEND_CALLS.add()
     return _ACTIVE.unique_shot_words(per_shot)
+
+
+def rref_batch(words: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """In-place full RREF of a stack of packed GF(2) matrices.
+
+    ``words`` is a writeable C-contiguous ``(batch, nrows, nwords)``
+    uint64 stack in :func:`repro.gf2.bitmat.pack_rows` layout; each
+    matrix is reduced over its leading ``limit`` columns (the trailing
+    ones ride along, as the right-hand side of ``[A | b]`` does).
+    Returns ``(pivots, ranks)``: ``pivots[b, r]`` is the pivot column of
+    row ``r`` of matrix ``b`` for ``r < ranks[b]`` and ``-1`` beyond.
+    Rows from ``ranks[b]`` on are zero in the leading ``limit`` columns
+    (with ``limit`` covering every column: the nonzero rows are exactly
+    the first ``ranks[b]``).
+
+    The pivot for a column is the first row at or below the current
+    rank with that bit set, swapped into place and XORed into every
+    other row holding the bit; since the RREF is unique, every backend
+    returns the same words and pivots.
+    """
+    limit = _check_rref_stack(words, limit)
+    _RREF_CALLS.add()
+    _BACKEND_CALLS.add()
+    return _ACTIVE.rref_batch(words, limit)
 
 
 set_backend(os.environ.get("REPRO_KERNELS", "auto"))

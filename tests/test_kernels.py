@@ -2,12 +2,13 @@
 
 The contract (ROADMAP item 2): whatever backend ``repro.gf2.kernels``
 selects at import — numpy or the runtime-compiled C library —
-the three hot-spot kernels produce results indistinguishable from the
-pinned numpy reference.  ``transpose_words`` and ``popcount_words`` must
-match exactly; ``unique_shot_words`` must produce the same *grouping*
-(group order is arbitrary by contract, so equality is checked through
-``inverse``).  On top of the kernel-level checks, the full packed≡dense
-decoder litmus runs once per backend on a real circuit-level DEM.
+the four hot-spot kernels produce results indistinguishable from the
+pinned numpy reference.  ``transpose_words``, ``popcount_words`` and
+``rref_batch`` (reduced words, pivots and ranks) must match exactly;
+``unique_shot_words`` must produce the same *grouping* (group order is
+arbitrary by contract, so equality is checked through ``inverse``).  On
+top of the kernel-level checks, the full packed≡dense decoder litmus
+runs once per backend on a real circuit-level DEM.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.codes import rotated_surface_code
 from repro.decoders import MatchingDecoder, detector_subset_for_basis
 from repro.decoders.metrics import dem_for
 from repro.gf2 import kernels
-from repro.gf2.bitmat import pack_rows, unpack_rows
+from repro.gf2.bitmat import BitMatrix, pack_rows, unpack_rows
 from repro.noise import NoiseModel
 
 from test_decoders_packed import assert_packed_matches_dense
@@ -180,6 +181,115 @@ def test_unique_grouping_equivalent_across_backends(shots, nwords, seed):
         canon = [first_use.setdefault(g, len(first_use)) for g in inverse.tolist()]
         partitions.append(canon)
     assert all(p == partitions[0] for p in partitions)
+
+
+def _column_bits(words, col):
+    return (words[..., col // 64] >> np.uint64(col % 64)) & np.uint64(1)
+
+
+def _reference_rank(words, ncols):
+    with kernels.use_backend("numpy"):
+        return len(BitMatrix(words.copy(), ncols).row_reduce())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.sampled_from([0, 1, 5]),
+    nrows=st.sampled_from([0, 1, 2, 7, 63, 64, 65]),
+    ncols=st.integers(min_value=0, max_value=200),
+    limit_frac=st.sampled_from([1.0, 0.5, 0.0]),
+    density=st.sampled_from([0.05, 0.3, 0.5]),
+    duplicates=st.integers(min_value=0, max_value=3),
+    zeros=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_rref_batch_matches_reference(
+    batch, nrows, ncols, limit_frac, density, duplicates, zeros, seed
+):
+    """Every backend reduces to the reference words, pivots and ranks."""
+    rng = np.random.default_rng(seed)
+    dense = (rng.random((batch, nrows, ncols)) < density).astype(np.uint8)
+    if nrows >= 2:
+        for _ in range(duplicates):
+            src, dst = rng.integers(0, nrows, size=2)
+            dense[:, dst] = dense[:, src]
+        for _ in range(zeros):
+            dense[:, rng.integers(0, nrows)] = 0
+    nwords = max(1, (ncols + 63) // 64)
+    original = (
+        np.stack([pack_rows(m) for m in dense])
+        if batch
+        else np.zeros((0, nrows, nwords), dtype=np.uint64)
+    )
+    # limit < ncols is the augmented [A | b] case: trailing columns ride.
+    limit = int(round(limit_frac * ncols))
+    if limit_frac < 1.0 and ncols:
+        limit = min(limit, ncols - 1)
+    want = original.copy()
+    want_piv, want_rank = REFERENCE.rref_batch(want, limit)
+    for name in BACKENDS:
+        got = original.copy()
+        with kernels.use_backend(name):
+            got_piv, got_rank = kernels.rref_batch(got, limit)
+        assert np.array_equal(got, want), name
+        assert np.array_equal(got_piv, want_piv), name
+        assert np.array_equal(got_rank, want_rank), name
+        assert got_piv.shape == (batch, nrows) and got_rank.shape == (batch,)
+    # RREF properties of the (shared) result.
+    for b in range(batch):
+        rank = int(want_rank[b])
+        pivots = want_piv[b, :rank]
+        assert (want_piv[b, rank:] == -1).all()
+        assert (np.diff(pivots) > 0).all() and (pivots < limit).all()
+        for r, col in enumerate(pivots):
+            column = _column_bits(want[b], int(col))
+            assert column[r] == 1 and int(column.sum()) == 1  # unit vector
+        for col in range(limit):
+            assert not _column_bits(want[b, rank:], col).any()
+        # Row space preserved: reduced rows span exactly the original's.
+        base = _reference_rank(original[b], ncols)
+        assert _reference_rank(want[b], ncols) == base
+        both = np.concatenate([original[b], want[b]])
+        assert _reference_rank(both, ncols) == base
+
+
+class TestRrefBatch:
+    def test_row_reduce_is_a_batch_of_one(self, backend):
+        rng = np.random.default_rng(21)
+        dense = rng.integers(0, 2, size=(30, 150), dtype=np.uint8)
+        mat = BitMatrix.from_dense(dense)
+        pivots = mat.row_reduce(ncols=120)
+        stack = pack_rows(dense)[None].copy()
+        ref_piv, ref_rank = REFERENCE.rref_batch(stack, 120)
+        assert pivots == ref_piv[0, : ref_rank[0]].tolist()
+        assert np.array_equal(mat.words, stack[0])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.zeros((2, 3), dtype=np.uint64),
+            np.zeros((1, 2, 3), dtype=np.int64),
+            np.zeros((1, 3, 2), dtype=np.uint64)[:, ::2],
+        ],
+    )
+    def test_rejects_non_stacks(self, backend, bad):
+        with pytest.raises(ValueError):
+            kernels.rref_batch(bad, 1)
+
+    def test_rejects_limit_past_the_words(self, backend):
+        with pytest.raises(ValueError):
+            kernels.rref_batch(np.zeros((1, 2, 1), dtype=np.uint64), 65)
+
+    def test_self_test_covers_rref(self, monkeypatch):
+        if "cnative" not in BACKENDS:
+            pytest.skip("no native backend here")
+        native = kernels._native_backend()
+        assert kernels._self_test(native)
+        # A backend whose elimination is wrong must be rejected.
+        monkeypatch.setattr(
+            type(native), "rref_batch", lambda self, words, limit: (None, None)
+        )
+        assert not kernels._self_test(native)
 
 
 class TestDecoderLitmusPerBackend:
